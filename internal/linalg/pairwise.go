@@ -5,58 +5,50 @@ package linalg
 // row of the opposite tile.
 const pairTile = 32
 
-// PairwiseSqDistInto fills out with the n×n matrix of squared Euclidean
-// distances between all row pairs, computed in cache-friendly tiles, and
-// returns it (out is grown when too small). Each entry is accumulated
-// exactly like SqDist — same feature order, one running sum — so callers
-// replacing per-pair SqDist calls with matrix lookups see identical bits;
-// the mirrored lower triangle is exact because (a−b)² and (b−a)² are the
-// same float.
-func PairwiseSqDistInto(rows [][]float64, out []float64) []float64 {
-	n := len(rows)
-	if cap(out) < n*n {
-		out = make([]float64, n*n)
-	} else {
-		out = out[:n*n]
-	}
-	for ib := 0; ib < n; ib += pairTile {
-		ie := min(ib+pairTile, n)
-		for jb := ib; jb < n; jb += pairTile {
-			je := min(jb+pairTile, n)
-			for i := ib; i < ie; i++ {
-				ri := rows[i]
-				js := jb
-				if i >= js {
-					out[i*n+i] = 0
-					js = i + 1
-				}
-				for j := js; j < je; j++ {
-					d := SqDist(ri, rows[j])
-					out[i*n+j] = d
-					out[j*n+i] = d
-				}
-			}
-		}
-	}
-	return out
-}
-
-// PairwiseSqDistColsInto fills out with the n×n squared-distance matrix of
-// the dataset whose features are the given columns (cols[j][i] = feature j of
-// example i), and returns it (out is grown when too small). The matrix is
-// zeroed and then built one AddSqColumn per feature, in column order — the
-// identical left-to-right float addition sequence SqDist performs over a
-// concatenated row, so the result is bit-identical to PairwiseSqDistInto on
-// the equivalent rows while reading memory as dim sequential column scans.
+// PairwiseSqDistColsInto fills out with the n×n matrix of squared Euclidean
+// distances of the dataset whose features are the given columns
+// (cols[j][i] = feature j of example i), and returns it (out is grown when
+// too small). For each pair of pairTile-row tiles both tiles are gathered
+// row-major into L1-sized buffers and every entry is one SqDist call, so
+// each distance is exactly the value SqDist gives for the two rows; the
+// mirrored lower triangle is exact because (a−b)² and (b−a)² are the same
+// float.
 func PairwiseSqDistColsInto(cols [][]float64, n int, out []float64) []float64 {
 	if cap(out) < n*n {
 		out = make([]float64, n*n)
 	} else {
 		out = out[:n*n]
 	}
-	clear(out)
-	for _, col := range cols {
-		AddSqColumn(out, col)
+	dim := len(cols)
+	ti := make([]float64, pairTile*dim)
+	tj := make([]float64, pairTile*dim)
+	gather := func(dst []float64, lo, hi int) {
+		for f, col := range cols {
+			for i, v := range col[lo:hi] {
+				dst[i*dim+f] = v
+			}
+		}
+	}
+	for ib := 0; ib < n; ib += pairTile {
+		ie := min(ib+pairTile, n)
+		gather(ti, ib, ie)
+		for jb := ib; jb < n; jb += pairTile {
+			je := min(jb+pairTile, n)
+			gather(tj, jb, je)
+			for i := ib; i < ie; i++ {
+				ri := ti[(i-ib)*dim : (i-ib+1)*dim]
+				js := jb
+				if i >= js {
+					out[i*n+i] = 0
+					js = i + 1
+				}
+				for j := js; j < je; j++ {
+					d := SqDist(ri, tj[(j-jb)*dim:(j-jb+1)*dim])
+					out[i*n+j] = d
+					out[j*n+i] = d
+				}
+			}
+		}
 	}
 	return out
 }

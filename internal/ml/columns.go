@@ -2,11 +2,11 @@ package ml
 
 import "fmt"
 
-// Columns is an optional column-major backing for a Dataset: every feature
-// is a set of contiguous float64 slabs (one per chunk), so per-feature scans
-// — normalization fitting, additive distance construction, greedy feature
-// projection — run as sequential loads instead of chasing one slice header
-// per example. The slabs may alias a memory-mapped dataset file
+// Columns is the column-major feature layout every ML kernel reads: every
+// feature is a set of contiguous float64 slabs (one per chunk), so
+// per-feature scans (normalization fitting, distance construction, feature
+// projection, binning) run as sequential loads instead of chasing one slice
+// header per example. The slabs may alias a memory-mapped dataset file
 // (internal/colstore), in which case they are read-only and valid only
 // until the mapping is closed.
 //
@@ -30,9 +30,9 @@ type Columns struct {
 
 // ColChunk is one contiguous run of rows.
 type ColChunk struct {
-	Start int           // global row index of the chunk's first row
-	Rows  int           // rows in this chunk
-	Feats [][]float64   // Feats[j] is feature j's column, len Rows
+	Start int         // global row index of the chunk's first row
+	Rows  int         // rows in this chunk
+	Feats [][]float64 // Feats[j] is feature j's column, len Rows
 }
 
 // NewColumns assembles a backing from sealed chunks. Labels must have
@@ -109,11 +109,9 @@ func (c *Columns) Project(idx []int) *Columns {
 }
 
 // BuildColumns materializes a single-chunk column backing from the dataset's
-// rows and attaches it, so the columnar kernels (normalization fitting,
-// pairwise distance construction, blocked LOOCV) apply to row-collected
-// datasets too. It is a no-op when a backing of the right shape is already
-// attached. The values are exact copies, so every downstream computation is
-// bit-identical to the row path.
+// rows and attaches it, so every later kernel call shares it. It is a no-op
+// when a backing of the right shape is already attached. The values are
+// exact copies of the rows.
 func (d *Dataset) BuildColumns() *Columns {
 	n := d.Len()
 	if d.Cols != nil && d.Cols.N == n {
@@ -122,7 +120,25 @@ func (d *Dataset) BuildColumns() *Columns {
 	if n == 0 {
 		return nil
 	}
-	dim := len(d.Examples[0].Features)
+	d.Cols = d.rowColumns()
+	return d.Cols
+}
+
+// Columns returns the dataset's feature columns: the attached backing when
+// it is consistent with the examples, otherwise a single-chunk backing built
+// from the rows and not attached. Kernels never mutate a dataset, because
+// concurrent LOOCV and selection calls may share it; they call Columns once
+// per call and pass the backing down.
+func (d *Dataset) Columns() *Columns {
+	if cols := d.UsableCols(); cols != nil {
+		return cols
+	}
+	return d.rowColumns()
+}
+
+// rowColumns copies the feature rows into a single-chunk backing.
+func (d *Dataset) rowColumns() *Columns {
+	n, dim := d.Len(), d.Dim()
 	slab := make([]float64, n*dim)
 	feats := make([][]float64, dim)
 	for j := range feats {
@@ -136,11 +152,11 @@ func (d *Dataset) BuildColumns() *Columns {
 			feats[j][i] = v
 		}
 	}
-	d.Cols = &Columns{
-		N: n, Dim: dim, Labels: labels,
-		chunks: []ColChunk{{Start: 0, Rows: n, Feats: feats}},
+	cols := &Columns{N: n, Dim: dim, Labels: labels}
+	if n > 0 {
+		cols.chunks = []ColChunk{{Start: 0, Rows: n, Feats: feats}}
 	}
-	return d.Cols
+	return cols
 }
 
 // ApplyColumnRange normalizes feature j of rows [lo, hi) into dst, which
@@ -170,9 +186,9 @@ func (n *Norm) ApplyColumnRange(cols *Columns, j, lo, hi int, dst []float64) []f
 }
 
 // UsableCols returns the dataset's column backing when it is consistent
-// with the dataset's row count, nil otherwise. Call sites that take the
-// columnar fast path must gate on this, never on Cols directly: a stale
-// backing left by buffer reuse would silently serve wrong values.
+// with the dataset's shape, nil otherwise. Readers of the attached backing
+// must gate on this (Columns does), never on Cols directly: a stale backing
+// left by buffer reuse would silently serve wrong values.
 func (d *Dataset) UsableCols() *Columns {
 	if d.Cols != nil && d.Cols.N == d.Len() && d.Cols.Dim == d.Dim() {
 		return d.Cols
@@ -194,8 +210,9 @@ func (d *Dataset) Dim() int {
 
 // HasRows reports whether per-example feature rows are materialized.
 // Column-only datasets (opened for out-of-core work) answer false; paths
-// that need row vectors — Train, the fold-based LOOCV fallback — must
-// refuse them with a clear error instead of indexing nil slices.
+// that need row vectors (Train, which stores a serving model, and the
+// fold-based LOOCV fallback, which predicts from rows) must refuse them
+// with a clear error instead of indexing nil slices.
 func (d *Dataset) HasRows() bool {
 	return d.Len() > 0 && d.Examples[0].Features != nil
 }

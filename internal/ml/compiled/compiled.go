@@ -86,7 +86,7 @@ type Program struct {
 	norms32 []float32
 
 	// Near-neighbor.
-	labels []int32
+	labels []int
 	radius float64
 	oneNN  bool
 
@@ -284,112 +284,26 @@ func (p *Program) walk(root int32, features []float64) int32 {
 
 // --- Near-neighbor -------------------------------------------------------
 
-// nnPredict mirrors nn.Classifier's radius vote exactly: same SqDist
-// accumulation, same tie-break on the closer exemplar, same single-nearest
-// fallback when the neighborhood is empty.
+// nnPredict runs nn.Classifier's vote (ml.NeighborVote) over the table
+// with the same SqDist accumulation, so the answer is bit-identical.
 func (p *Program) nnPredict(q []float64) int {
-	if p.oneNN {
-		return int(p.labels[p.nearest(q)])
-	}
-	r2 := p.radius * p.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for i := range bestInClass {
-		bestInClass[i] = math.Inf(1)
-	}
-	found := 0
+	var v ml.NeighborVote[float64]
+	v.Reset(p.radius, p.oneNN)
 	for i := 0; i < p.n; i++ {
-		d2 := linalg.SqDist(q, p.table[i*p.dim:(i+1)*p.dim])
-		if d2 > r2 {
-			continue
-		}
-		found++
-		lab := p.labels[i]
-		votes[lab]++
-		if d2 < bestInClass[lab] {
-			bestInClass[lab] = d2
-		}
+		v.Observe(i, linalg.SqDist(q, p.table[i*p.dim:(i+1)*p.dim]), p.labels)
 	}
-	if found == 0 {
-		return int(p.labels[p.nearest(q)])
-	}
-	return voteArgmax(&votes, &bestInClass)
-}
-
-func (p *Program) nearest(q []float64) int {
-	best, bestD := -1, math.Inf(1)
-	for i := 0; i < p.n; i++ {
-		if d := linalg.SqDist(q, p.table[i*p.dim:(i+1)*p.dim]); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
+	return v.Finish(p.labels)
 }
 
 // nnPredictRow32 is the float32 batch counterpart reading a precomputed
 // distance row.
 func (p *Program) nnPredictRow32(d2s []float32) int {
-	if p.oneNN {
-		return int(p.labels[nearestRow32(d2s)])
-	}
-	r2 := float32(p.radius * p.radius)
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float32
-	inf := float32(math.Inf(1))
-	for i := range bestInClass {
-		bestInClass[i] = inf
-	}
-	found := 0
+	var v ml.NeighborVote[float32]
+	v.Reset(p.radius, p.oneNN)
 	for i, d2 := range d2s {
-		if d2 > r2 {
-			continue
-		}
-		found++
-		lab := p.labels[i]
-		votes[lab]++
-		if d2 < bestInClass[lab] {
-			bestInClass[lab] = d2
-		}
+		v.Observe(i, d2, p.labels)
 	}
-	if found == 0 {
-		return int(p.labels[nearestRow32(d2s)])
-	}
-	return voteArgmax(&votes, &bestInClass)
-}
-
-func nearestRow32(d2s []float32) int {
-	best, bestD := -1, float32(math.Inf(1))
-	for i, d := range d2s {
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
-// voteArgmax picks the most-voted label with the interpreted classifiers'
-// exact rule: strictly more votes wins, equal votes go to the class whose
-// best exemplar is nearer.
-func voteArgmax[F float32 | float64](votes *[ml.NumClasses + 1]int, bestInClass *[ml.NumClasses + 1]F) int {
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			best = label
-		}
-	}
-	return best
+	return v.Finish(p.labels)
 }
 
 // --- Kernel machines -----------------------------------------------------
@@ -544,13 +458,12 @@ func NewNN(norm *ml.Norm, rows [][]float64, labels []int, radius float64, oneNN 
 		kind: kindNN, version: "nn/v1+f32b", norm: norm,
 		n: len(rows), dim: dim, table: table, table32: table32, norms32: norms32,
 		radius: radius, oneNN: oneNN,
-		labels: make([]int32, len(labels)),
+		labels: append([]int(nil), labels...),
 	}
 	for i, l := range labels {
 		if l < 1 || l > ml.NumClasses {
 			return nil, fmt.Errorf("compiled: exemplar %d has label %d outside [1,%d]", i, l, ml.NumClasses)
 		}
-		p.labels[i] = int32(l)
 	}
 	p.initPool()
 	return p, nil

@@ -37,7 +37,12 @@ func Select(tr ml.Trainer, d *ml.Dataset, k int) ([]Result, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	dim := len(d.Examples[0].Features)
+	// Score every candidate against one column backing: projections then
+	// share its slabs instead of each rebuilding columns from rows.
+	withCols := *d
+	withCols.Cols = d.Columns()
+	d = &withCols
+	dim := d.Dim()
 	if k > dim {
 		k = dim
 	}

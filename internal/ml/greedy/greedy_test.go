@@ -2,10 +2,13 @@ package greedy
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metaopt/internal/ml"
+	"metaopt/internal/ml/mltest"
 	"metaopt/internal/ml/nn"
+	"metaopt/internal/ml/svm"
 )
 
 // mixed builds a dataset where features 0 and 1 jointly determine the
@@ -110,6 +113,32 @@ func TestSessionPathMatchesSubsetPath(t *testing.T) {
 			if fast[i] != slow[i] {
 				t.Errorf("oneNN=%v round %d: session %+v, subset %+v", oneNN, i, fast[i], slow[i])
 			}
+		}
+	}
+}
+
+// TestColumnOnlySelectsLikeRows runs selection on a column-only copy of the
+// kind the columnar store serves: every path (the NN session, the
+// per-subset NN path and the LS-SVM) must pick exactly the features, with
+// exactly the errors, it picks on the row dataset.
+func TestColumnOnlySelectsLikeRows(t *testing.T) {
+	d := mixed(120, 4, 9)
+	lite := mltest.ColumnOnly(d, 37)
+	for name, tr := range map[string]ml.Trainer{
+		"nn 1-NN session": &nn.Trainer{OneNN: true},
+		"nn radius":       noSession{&nn.Trainer{}},
+		"lssvm":           &svm.LSSVM{},
+	} {
+		want, err := Select(tr, d, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Select(tr, lite, 3)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(want) != 3 || !slices.Equal(got, want) {
+			t.Errorf("%s: column-only %+v, rows %+v", name, got, want)
 		}
 	}
 }

@@ -25,51 +25,62 @@ func Project(d *ml.Dataset, out int) (*Projection, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	dim := len(d.Examples[0].Features)
+	dim := d.Dim()
 	if out < 1 || out > dim {
 		return nil, fmt.Errorf("lda: %d output dims for %d features", out, dim)
 	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	n := len(rows)
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
+	ncols := norm.ApplyColumns(cols)
+	n := cols.N
 
-	// Class and global means.
-	classRows := map[int][][]float64{}
-	for i, e := range d.Examples {
-		classRows[e.Label] = append(classRows[e.Label], rows[i])
+	// Class members in row order, and the global mean.
+	var members [ml.NumClasses + 1][]int
+	classes := 0
+	for i, lab := range cols.Labels {
+		if len(members[lab]) == 0 {
+			classes++
+		}
+		members[lab] = append(members[lab], i)
 	}
-	if len(classRows) < 2 {
+	if classes < 2 {
 		return nil, fmt.Errorf("lda: need at least 2 classes")
 	}
 	global := make([]float64, dim)
-	for _, r := range rows {
-		linalg.AXPY(1, r, global)
-	}
-	for j := range global {
+	for j, col := range ncols {
+		for _, v := range col {
+			global[j] += v
+		}
 		global[j] /= float64(n)
 	}
 
 	sw := linalg.NewMatrix(dim, dim)
 	sb := linalg.NewMatrix(dim, dim)
 	diff := make([]float64, dim)
-	for _, members := range classRows {
-		mean := make([]float64, dim)
-		for _, r := range members {
-			linalg.AXPY(1, r, mean)
+	mean := make([]float64, dim)
+	// Classes accumulate in label order so the scatter sums, and with them
+	// the projection, are the same floats on every run.
+	for _, idx := range members {
+		if len(idx) == 0 {
+			continue
 		}
-		for j := range mean {
-			mean[j] /= float64(len(members))
+		for j, col := range ncols {
+			mean[j] = 0
+			for _, i := range idx {
+				mean[j] += col[i]
+			}
+			mean[j] /= float64(len(idx))
 		}
-		for _, r := range members {
-			for j := range diff {
-				diff[j] = r[j] - mean[j]
+		for _, i := range idx {
+			for j, col := range ncols {
+				diff[j] = col[i] - mean[j]
 			}
 			rankOneUpdate(sw, diff, 1)
 		}
 		for j := range diff {
 			diff[j] = mean[j] - global[j]
 		}
-		rankOneUpdate(sb, diff, float64(len(members)))
+		rankOneUpdate(sb, diff, float64(len(idx)))
 	}
 	// Regularize the within-class scatter so it is invertible even with
 	// constant features.

@@ -111,3 +111,30 @@ func TestProjectErrors(t *testing.T) {
 		t.Error("expected single-class error")
 	}
 }
+
+// TestProjectDeterministic fits the same multi-class projection twice
+// (once from a column-only copy) and requires bit-equal directions.
+func TestProjectDeterministic(t *testing.T) {
+	d := mltest.Clusters(160, 6, 5, 0.4, 8)
+	a, err := Project(d, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := 0; run < 5; run++ {
+		src := d
+		if run%2 == 1 {
+			src = mltest.ColumnOnly(d, 45)
+		}
+		b, err := Project(src, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < a.W.Rows(); r++ {
+			for c := 0; c < a.W.Cols(); c++ {
+				if math.Float64bits(a.W.At(r, c)) != math.Float64bits(b.W.At(r, c)) {
+					t.Fatalf("run %d: W[%d][%d] = %v, first %v", run, r, c, b.W.At(r, c), a.W.At(r, c))
+				}
+			}
+		}
+	}
+}

@@ -24,21 +24,21 @@ func Scores(d *ml.Dataset, bins int) []float64 {
 	if d.Len() == 0 {
 		return nil
 	}
-	dim := len(d.Examples[0].Features)
-	out := make([]float64, dim)
-	for f := 0; f < dim; f++ {
-		out[f] = featureScore(d, f, bins)
+	cols := d.Columns()
+	out := make([]float64, cols.Dim)
+	var vals []float64
+	for f := range out {
+		vals = cols.Feature(f, vals)
+		out[f] = featureScore(vals, cols.Labels, bins)
 	}
 	return out
 }
 
-func featureScore(d *ml.Dataset, f, bins int) float64 {
-	n := d.Len()
+// featureScore is the mutual information between one feature's values and
+// the labels, in row order.
+func featureScore(vals []float64, labels []int, bins int) float64 {
+	n := len(vals)
 	// Equal-frequency bin edges.
-	vals := make([]float64, n)
-	for i, e := range d.Examples {
-		vals[i] = e.Features[f]
-	}
 	sorted := append([]float64(nil), vals...)
 	sort.Float64s(sorted)
 	edges := make([]float64, 0, bins-1)
@@ -59,21 +59,30 @@ func featureScore(d *ml.Dataset, f, bins int) float64 {
 		return lo
 	}
 
-	joint := make(map[[2]int]int)
-	binCount := make(map[int]int)
-	labelCount := make(map[int]int)
-	for i, e := range d.Examples {
+	// Label-indexed count arrays summed in a fixed (bin, label) order: a map
+	// walk would add the same terms in a random order, so features with
+	// equal count tables could score (and rank) differently run to run.
+	joint := make([][ml.NumClasses + 1]int, bins)
+	binCount := make([]int, bins)
+	var labelCount [ml.NumClasses + 1]int
+	for i, lab := range labels {
 		b := binOf(vals[i])
-		joint[[2]int{b, e.Label}]++
+		joint[b][lab]++
 		binCount[b]++
-		labelCount[e.Label]++
+		labelCount[lab]++
 	}
 	var info float64
-	for key, c := range joint {
-		pxy := float64(c) / float64(n)
-		px := float64(binCount[key[0]]) / float64(n)
-		py := float64(labelCount[key[1]]) / float64(n)
-		info += pxy * math.Log2(pxy/(px*py))
+	for b := range joint {
+		for lab := 1; lab <= ml.NumClasses; lab++ {
+			c := joint[b][lab]
+			if c == 0 {
+				continue
+			}
+			pxy := float64(c) / float64(n)
+			px := float64(binCount[b]) / float64(n)
+			py := float64(labelCount[lab]) / float64(n)
+			info += pxy * math.Log2(pxy/(px*py))
+		}
 	}
 	if info < 0 {
 		info = 0 // guard against negative rounding noise

@@ -1,7 +1,9 @@
 package mis
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"metaopt/internal/ml"
@@ -75,5 +77,49 @@ func TestScoresNonNegative(t *testing.T) {
 func TestEmptyDataset(t *testing.T) {
 	if s := Scores(&ml.Dataset{}, 0); s != nil {
 		t.Errorf("scores of empty = %v", s)
+	}
+}
+
+// TestTiedFeaturesRankDeterministically builds features with identical
+// count tables (copies and a monotone rescaling of one feature bin
+// identically): their scores must be bit-equal on every call, and Rank must
+// order them by feature index.
+func TestTiedFeaturesRankDeterministically(t *testing.T) {
+	base := buildMixed(300, 4)
+	d := &ml.Dataset{}
+	for _, e := range base.Examples {
+		c := e.Features[1]
+		e.Features = []float64{e.Features[2], c, 3*c + 1, c, e.Features[0]}
+		d.Examples = append(d.Examples, e)
+	}
+	first := Scores(d, 0)
+	if first[1] != first[2] || first[1] != first[3] {
+		t.Fatalf("tied features scored %v, %v, %v", first[1], first[2], first[3])
+	}
+	for run := 0; run < 20; run++ {
+		got := Scores(d, 0)
+		for f := range got {
+			if math.Float64bits(got[f]) != math.Float64bits(first[f]) {
+				t.Fatalf("run %d feature %d: %v, first run %v", run, f, got[f], first[f])
+			}
+		}
+	}
+	var order []int
+	for _, r := range Rank(d, 0) {
+		order = append(order, r.Feature)
+	}
+	if want := []int{4, 1, 2, 3, 0}; !slices.Equal(order, want) {
+		t.Errorf("rank order %v, want %v", order, want)
+	}
+}
+
+// TestColumnOnlyScoresMatchRows requires a column-only copy to score
+// exactly like the row dataset.
+func TestColumnOnlyScoresMatchRows(t *testing.T) {
+	d := mltest.Clusters(100, 6, 4, 0.5, 3)
+	want := Scores(d, 0)
+	got := Scores(mltest.ColumnOnly(d, 37), 0)
+	if !slices.Equal(got, want) {
+		t.Errorf("column-only scores %v, rows %v", got, want)
 	}
 }

@@ -37,10 +37,9 @@ type Dataset struct {
 	FeatureNames []string
 
 	// Cols is an optional column-major backing (possibly aliasing a
-	// memory-mapped columnar store). When present and consistent with the
-	// examples, normalization fitting, pairwise-distance construction, and
-	// the NN/LS-SVM LOOCV paths read features as sequential column scans
-	// instead of per-row slice loads — with bit-identical results. In
+	// memory-mapped columnar store). ML kernels read features only as
+	// columns (see Columns); attaching a backing once lets every kernel
+	// call on the dataset share it instead of building its own. In
 	// out-of-core datasets the examples carry only metadata (name, label,
 	// cycles) and Cols is the sole feature storage.
 	Cols *Columns
@@ -127,40 +126,28 @@ func (d *Dataset) SelectInto(idx []int, buf *Dataset) *Dataset {
 	} else {
 		buf.slab = buf.slab[:n*k]
 	}
-	if cols := d.UsableCols(); cols != nil {
-		// Column-backed source: fill the projected slab one source column
-		// at a time — every read is a sequential scan of a contiguous
-		// (possibly memory-mapped) slab, and out-of-core datasets project
-		// without ever materializing full-width rows. Values land in the
-		// same slots the row loop writes, so the result is bit-identical.
-		for c, j := range idx {
-			for ci := 0; ci < cols.NumChunks(); ci++ {
-				ch := cols.Chunk(ci)
-				base := ch.Start
-				for r, v := range ch.Feats[j] {
-					buf.slab[(base+r)*k+c] = v
-				}
+	// Fill the projected slab one source column at a time: every read is a
+	// sequential scan of a contiguous (possibly memory-mapped) slab, and
+	// out-of-core datasets project without ever materializing full-width
+	// rows.
+	cols := d.Columns()
+	for c, j := range idx {
+		for ci := 0; ci < cols.NumChunks(); ci++ {
+			ch := cols.Chunk(ci)
+			base := ch.Start
+			for r, v := range ch.Feats[j] {
+				buf.slab[(base+r)*k+c] = v
 			}
 		}
-		for i := range d.Examples {
-			e := d.Examples[i]
-			e.Features = buf.slab[i*k : (i+1)*k : (i+1)*k]
-			buf.Examples[i] = e
-		}
-		// The projection shares the parent's column slabs, so downstream
-		// columnar kernels keep their sequential access on the subset.
-		buf.Cols = cols.Project(idx)
-		return buf
 	}
-	buf.Cols = nil
-	for i, e := range d.Examples {
-		row := buf.slab[i*k : (i+1)*k : (i+1)*k]
-		for c, j := range idx {
-			row[c] = e.Features[j]
-		}
-		e.Features = row
+	for i := range d.Examples {
+		e := d.Examples[i]
+		e.Features = buf.slab[i*k : (i+1)*k : (i+1)*k]
 		buf.Examples[i] = e
 	}
+	// The projection shares the source's column slabs, so kernels run on
+	// the subset without rebuilding its columns.
+	buf.Cols = cols.Project(idx)
 	return buf
 }
 
@@ -214,41 +201,9 @@ func squash(v float64) float64 {
 	return math.Log1p(v)
 }
 
-// FitNorm computes normalization statistics over a dataset. With a column
-// backing attached the per-feature sweeps read contiguous slabs; the scan
-// visits examples in the same order as the row loop and applies the same
-// squash/min/max operations, so the statistics are bit-identical.
-func FitNorm(d *Dataset) *Norm {
-	if d.Len() == 0 {
-		return &Norm{}
-	}
-	if cols := d.UsableCols(); cols != nil {
-		return fitNormColumns(cols)
-	}
-	dim := len(d.Examples[0].Features)
-	n := &Norm{Min: make([]float64, dim), Scale: make([]float64, dim)}
-	for j := 0; j < dim; j++ {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, e := range d.Examples {
-			v := squash(e.Features[j])
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		n.Min[j] = lo
-		if hi > lo {
-			n.Scale[j] = 1 / (hi - lo)
-		}
-	}
-	return n
-}
-
-// fitNormColumns is FitNorm over a column backing: one contiguous sweep per
-// feature, chunks in row order.
-func fitNormColumns(cols *Columns) *Norm {
+// FitNorm computes normalization statistics over a dataset's columns
+// (Dataset.Columns): one contiguous sweep per feature, chunks in row order.
+func FitNorm(cols *Columns) *Norm {
 	n := &Norm{Min: make([]float64, cols.Dim), Scale: make([]float64, cols.Dim)}
 	for j := 0; j < cols.Dim; j++ {
 		lo, hi := math.Inf(1), math.Inf(-1)
@@ -314,11 +269,20 @@ func (n *Norm) ApplyInto(v, out []float64) []float64 {
 	return out
 }
 
-// ApplyAll normalizes every example, returning the matrix of rows.
-func (n *Norm) ApplyAll(d *Dataset) [][]float64 {
-	rows := make([][]float64, d.Len())
-	for i, e := range d.Examples {
-		rows[i] = n.Apply(e.Features)
+// Rows transposes n-row columns (as ApplyColumns returns them) into row
+// vectors sharing one flat slab: the stored exemplar table of a trained
+// model.
+func Rows(cols [][]float64, n int) [][]float64 {
+	dim := len(cols)
+	slab := make([]float64, n*dim)
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = slab[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	for j, col := range cols {
+		for i, v := range col {
+			slab[i*dim+j] = v
+		}
 	}
 	return rows
 }
@@ -395,6 +359,9 @@ func LOOCV(tr Trainer, d *Dataset) ([]int, error) {
 		return fast.LOOCV(d)
 	}
 	n := d.Len()
+	if n > 0 && !d.HasRows() {
+		return nil, fmt.Errorf("ml: LOOCV by per-fold training needs materialized feature rows")
+	}
 	preds := make([]int, n)
 	if ft, ok := tr.(FoldTrainer); ok {
 		sess, err := ft.BeginFolds(d, par.Workers(n))

@@ -81,10 +81,10 @@ func TestWithout(t *testing.T) {
 
 func TestNormMapsToUnitRange(t *testing.T) {
 	d := mltest.Clusters(50, 4, 4, 0.3, 5)
-	n := ml.FitNorm(d)
-	rows := n.ApplyAll(d)
-	for _, r := range rows {
-		for j, v := range r {
+	cols := d.Columns()
+	n := ml.FitNorm(cols)
+	for j, col := range n.ApplyColumns(cols) {
+		for _, v := range col {
 			if v < -1e-9 || v > 1+1e-9 {
 				t.Fatalf("normalized value %v at feature %d", v, j)
 			}
@@ -97,7 +97,7 @@ func TestNormConstantFeature(t *testing.T) {
 		{Features: []float64{7, 1}, Label: 1},
 		{Features: []float64{7, 3}, Label: 2},
 	}}
-	n := ml.FitNorm(d)
+	n := ml.FitNorm(d.Columns())
 	v := n.Apply([]float64{7, 2})
 	if v[0] != 0 {
 		t.Errorf("constant feature normalized to %v", v[0])

@@ -57,3 +57,35 @@ func NoisyLabels(d *ml.Dataset, frac float64, seed int64) *ml.Dataset {
 	}
 	return out
 }
+
+// ColumnOnly returns a copy of d with the feature rows stripped and the
+// values in a column backing of chunkRows-row chunks: the shape the
+// memory-mapped columnar store serves for out-of-core work.
+func ColumnOnly(d *ml.Dataset, chunkRows int) *ml.Dataset {
+	n, dim := d.Len(), d.Dim()
+	var chunks []ml.ColChunk
+	for s := 0; s < n; s += chunkRows {
+		e := min(s+chunkRows, n)
+		feats := make([][]float64, dim)
+		for j := range feats {
+			feats[j] = make([]float64, e-s)
+			for r := s; r < e; r++ {
+				feats[j][r-s] = d.Examples[r].Features[j]
+			}
+		}
+		chunks = append(chunks, ml.ColChunk{Start: s, Rows: e - s, Feats: feats})
+	}
+	labels := make([]int, n)
+	lite := &ml.Dataset{FeatureNames: d.FeatureNames, Examples: make([]ml.Example, n)}
+	for i, ex := range d.Examples {
+		labels[i] = ex.Label
+		ex.Features = nil
+		lite.Examples[i] = ex
+	}
+	cols, err := ml.NewColumns(dim, labels, chunks)
+	if err != nil {
+		panic(err)
+	}
+	lite.Cols = cols
+	return lite
+}

@@ -1,52 +1,54 @@
 package nn
 
 import (
+	"slices"
 	"testing"
 
-	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
 	"metaopt/internal/ml/mltest"
 )
 
-// TestLOOCVDenseMatchesDirect pins the blocked-distance-matrix LOOCV path
-// to the per-fold predict scan, in both voting modes.
-func TestLOOCVDenseMatchesDirect(t *testing.T) {
-	d := mltest.Clusters(150, 5, 4, 0.25, 7)
-	for _, oneNN := range []bool{false, true} {
-		tr := &Trainer{OneNN: oneNN}
-		got, err := tr.LOOCV(d)
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestColumnarLOOCVMatchesRows pins the one LOOCV kernel, which reads
+// columns block by block, to the direct per-fold Classifier.predict scan
+// over rows with the held-out example excluded. It covers every layout the
+// kernel sees (rows only, an attached backing, one-chunk and multi-chunk
+// column-only copies) in radius, empty-neighborhood-fallback and 1-NN mode,
+// with one block and with many blocks that straddle the chunk edges.
+func TestColumnarLOOCVMatchesRows(t *testing.T) {
+	d := mltest.Clusters(200, 6, 4, 0.3, 13)
+	backed := mltest.Clusters(200, 6, 4, 0.3, 13)
+	backed.BuildColumns()
+	if backed.UsableCols() == nil {
+		t.Fatal("BuildColumns did not attach a usable backing")
+	}
+	layouts := []struct {
+		name string
+		d    *ml.Dataset
+	}{
+		{"rows", d},
+		{"attached", backed},
+		{"column-only one chunk", mltest.ColumnOnly(d, 200)},
+		{"column-only multi chunk", mltest.ColumnOnly(d, 47)},
+	}
+	defer func(old int) { blockRows = old }(blockRows)
+	for _, tr := range []*Trainer{{}, {Radius: 0.05}, {OneNN: true}} {
 		ci, err := tr.Train(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := ci.(*Classifier)
-		for i := range d.Examples {
-			if want := c.predict(c.rows[i], i); got[i] != want {
-				t.Fatalf("oneNN=%v fold %d: dense pred %d, direct %d", oneNN, i, got[i], want)
-			}
-		}
-	}
-}
-
-// TestPairwiseMatchesSqDist checks the blocked kernel entry-by-entry
-// against direct SqDist calls.
-func TestPairwiseMatchesSqDist(t *testing.T) {
-	d := mltest.Clusters(70, 6, 3, 0.3, 9)
-	tr := &Trainer{}
-	ci, err := tr.Train(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := ci.(*Classifier).rows
-	n := len(rows)
-	dist := linalg.PairwiseSqDistInto(rows, nil)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if want := linalg.SqDist(rows[i], rows[j]); dist[i*n+j] != want {
-				t.Fatalf("dist[%d][%d] = %v, SqDist = %v", i, j, dist[i*n+j], want)
+		for _, edge := range []int{512, 16} {
+			blockRows = edge
+			for _, l := range layouts {
+				got, err := tr.LOOCV(l.d)
+				if err != nil {
+					t.Fatalf("%s: %v", l.name, err)
+				}
+				for i := range got {
+					if want := c.predict(c.rows[i], i); got[i] != want {
+						t.Fatalf("%+v block %d %s fold %d: LOOCV %d, direct %d", *tr, edge, l.name, i, got[i], want)
+					}
+				}
 			}
 		}
 	}
@@ -115,5 +117,81 @@ func TestPredictZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { c.Predict(q) }); allocs != 0 {
 			t.Errorf("oneNN=%v: Predict allocates %v per run, want 0", oneNN, allocs)
 		}
+	}
+}
+
+// TestColumnarSelectMatchesRows drives three greedy rounds through the
+// dense session on the row dataset, the dense session on a column-only
+// copy, and the low-memory session (one block and many blocks) on that
+// copy, requiring identical scores (to the bit) and identical picks.
+func TestColumnarSelectMatchesRows(t *testing.T) {
+	d := mltest.Clusters(90, 6, 4, 0.3, 11)
+	lite := mltest.ColumnOnly(d, 29)
+	dim := d.Dim()
+	defer func(cap, edge int) { denseRowsCap, blockRows = cap, edge }(denseRowsCap, blockRows)
+	for _, oneNN := range []bool{false, true} {
+		tr := &Trainer{OneNN: oneNN}
+		begin := func(ds *ml.Dataset, dense bool, edge int) ml.SelectSession {
+			t.Helper()
+			denseRowsCap, blockRows = 16, edge
+			if dense {
+				denseRowsCap = 4096
+			}
+			s, err := tr.BeginSelect(ds, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, isDense := s.(*selectSession)
+			if _, isLow := s.(*selectSessionLowMem); isDense != dense || isLow == dense {
+				t.Fatalf("dense=%v: session is %T", dense, s)
+			}
+			return s
+		}
+		rowSess := begin(d, true, 512)
+		sessions := map[string]ml.SelectSession{
+			"dense column-only":           begin(lite, true, 512),
+			"low-memory one block":        begin(lite, false, 512),
+			"low-memory multi block":      begin(lite, false, 16),
+			"low-memory multi block rows": begin(d, false, 16),
+		}
+		var chosen []int
+		for round := 0; round < 3; round++ {
+			bestF, bestErr := -1, 2.0
+			for f := 0; f < dim; f++ {
+				if slices.Contains(chosen, f) {
+					continue
+				}
+				want, err := rowSess.Score(0, chosen, f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, s := range sessions {
+					if got, err := s.Score(f%2, chosen, f); err != nil || got != want {
+						t.Fatalf("oneNN=%v round %d feature %d: %s %v (%v), rows %v", oneNN, round, f, name, got, err, want)
+					}
+				}
+				if want < bestErr {
+					bestF, bestErr = f, want
+				}
+			}
+			if err := rowSess.Commit(bestF); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range sessions {
+				if err := s.Commit(bestF); err != nil {
+					t.Fatal(err)
+				}
+			}
+			chosen = append(chosen, bestF)
+		}
+	}
+}
+
+// TestTrainRejectsColumnOnly documents the serving restriction: a classifier
+// that answers arbitrary queries needs materialized rows.
+func TestTrainRejectsColumnOnly(t *testing.T) {
+	d := mltest.Clusters(40, 4, 3, 0.2, 3)
+	if _, err := (&Trainer{}).Train(mltest.ColumnOnly(d, 40)); err == nil {
+		t.Fatal("Train accepted a column-only dataset")
 	}
 }

@@ -8,7 +8,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"sync"
 
 	"metaopt/internal/linalg"
@@ -64,10 +63,11 @@ func (t *Trainer) Train(d *ml.Dataset) (ml.Classifier, error) {
 	if !d.HasRows() {
 		return nil, fmt.Errorf("nn: training a serving classifier needs materialized feature rows; column-only datasets support LOOCV and selection")
 	}
-	norm := ml.FitNorm(d)
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
 	c := &Classifier{
 		norm:   norm,
-		rows:   norm.ApplyAll(d),
+		rows:   ml.Rows(norm.ApplyColumns(cols), cols.N),
 		radius: t.radius(),
 		oneNN:  t.OneNN,
 	}
@@ -94,48 +94,14 @@ func (c *Classifier) Predict(features []float64) int {
 // predict classifies a normalized query, optionally excluding one database
 // index (for leave-one-out).
 func (c *Classifier) predict(q []float64, exclude int) int {
-	if c.oneNN {
-		return c.labels[c.nearest(q, exclude)]
-	}
-	r2 := c.radius * c.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for i := range bestInClass {
-		bestInClass[i] = math.Inf(1)
-	}
-	found := 0
+	var v ml.NeighborVote[float64]
+	v.Reset(c.radius, c.oneNN)
 	for i, row := range c.rows {
-		if i == exclude {
-			continue
-		}
-		d2 := linalg.SqDist(q, row)
-		if d2 > r2 {
-			continue
-		}
-		found++
-		votes[c.labels[i]]++
-		if d2 < bestInClass[c.labels[i]] {
-			bestInClass[c.labels[i]] = d2
+		if i != exclude {
+			v.Observe(i, linalg.SqDist(q, row), c.labels)
 		}
 	}
-	if found == 0 {
-		// Low confidence: fall back to the single nearest example.
-		return c.labels[c.nearest(q, exclude)]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			// Tie: prefer the class with the closer exemplar.
-			best = label
-		}
-	}
-	return best
+	return v.Finish(c.labels)
 }
 
 // Confidence reports the size of the voting neighborhood and the agreement
@@ -162,113 +128,24 @@ func (c *Classifier) Confidence(features []float64) (neighbors int, agreement fl
 	return neighbors, float64(max) / float64(neighbors)
 }
 
-func (c *Classifier) nearest(q []float64, exclude int) int {
-	best, bestD := -1, math.Inf(1)
-	for i, row := range c.rows {
-		if i == exclude {
-			continue
-		}
-		if d := linalg.SqDist(q, row); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
-// maxDenseRows bounds the examples for which the LOOCV fast path
-// materializes the n×n distance matrix (4096² float64 = 128 MB).
-const maxDenseRows = 4096
-
-// predictRow is predict with the distances to the whole database already
-// computed (one row of the pairwise matrix). Same neighbor scan, same tie
-// handling — the distance values are bit-identical, so so are the answers.
-func (c *Classifier) predictRow(d2s []float64, exclude int) int {
-	if c.oneNN {
-		return c.labels[nearestRow(d2s, exclude)]
-	}
-	r2 := c.radius * c.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for i := range bestInClass {
-		bestInClass[i] = math.Inf(1)
-	}
-	found := 0
-	for i, d2 := range d2s {
-		if i == exclude || d2 > r2 {
-			continue
-		}
-		found++
-		votes[c.labels[i]]++
-		if d2 < bestInClass[c.labels[i]] {
-			bestInClass[c.labels[i]] = d2
-		}
-	}
-	if found == 0 {
-		return c.labels[nearestRow(d2s, exclude)]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			best = label
-		}
-	}
-	return best
-}
-
-func nearestRow(d2s []float64, exclude int) int {
-	best, bestD := -1, math.Inf(1)
-	for i, d := range d2s {
-		if i == exclude {
-			continue
-		}
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	if best < 0 {
-		return 0
-	}
-	return best
-}
-
 // LOOCV classifies every example against the rest of the database. The
 // normalization statistics come from the full dataset, matching how the
-// paper's Matlab prototype normalized once before cross-validating. The
-// pairwise distances are materialized once in cache-friendly blocks, so
-// each of the n folds scans one precomputed row instead of re-walking the
-// n×dim feature matrix.
+// paper's Matlab prototype normalized once before cross-validating. Every
+// dataset, in memory or memory-mapped, runs the blocked kernel over its
+// columns: working memory is bounded by the block edge, not n².
 func (t *Trainer) LOOCV(d *ml.Dataset) ([]int, error) {
 	if d.Len() < 2 {
 		return nil, fmt.Errorf("nn: LOOCV needs at least 2 examples")
 	}
-	if cols := d.UsableCols(); cols != nil {
-		return t.loocvColumnar(d, cols)
-	}
-	ci, err := t.Train(d)
-	if err != nil {
+	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	c := ci.(*Classifier)
-	n := d.Len()
-	preds := make([]int, n)
-	if n <= denseRowsCap {
-		dist := linalg.PairwiseSqDistInto(c.rows, nil)
-		for i := range preds {
-			preds[i] = c.predictRow(dist[i*n:(i+1)*n], i)
-		}
-		return preds, nil
+	cols := d.Columns()
+	feats := make([]int, cols.Dim)
+	for f := range feats {
+		feats[f] = f
 	}
-	for i := range d.Examples {
-		preds[i] = c.predict(c.rows[i], i)
-	}
+	preds := make([]int, cols.N)
+	blockedLOOCV(cols, ml.FitNorm(cols), feats, t.radius(), t.OneNN, 0, cols.N, newBlockScratch(cols.N), preds)
 	return preds, nil
 }

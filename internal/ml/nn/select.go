@@ -2,11 +2,16 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"metaopt/internal/linalg"
 	"metaopt/internal/ml"
 )
+
+// denseRowsCap picks the selection session: up to this many examples the
+// dense additive session keeps the n×n committed-distance matrix (4096²
+// float64 = 128 MB); past it the low-memory session re-runs the blocked
+// kernel per candidate. A variable so tests can force either at small n.
+var denseRowsCap = 4096
 
 // selectSession scores greedy forward selection incrementally. Squared
 // Euclidean distance is additive across features, and the per-feature
@@ -39,56 +44,29 @@ func (t *Trainer) BeginSelect(d *ml.Dataset, workers int) (ml.SelectSession, err
 	if n < 2 {
 		return nil, fmt.Errorf("nn: selection needs at least 2 examples")
 	}
-	if cols := d.UsableCols(); cols != nil {
-		// Columnar fast path: normalized columns come straight from the
-		// backing (same values ApplyInto would produce row by row). Past
-		// the dense cap, score with the blocked kernel instead of the
-		// n×n committed matrix.
-		norm := ml.FitNorm(d)
-		if n <= denseRowsCap {
-			return &selectSession{
-				n:      n,
-				cols:   norm.ApplyColumns(cols),
-				labels: cols.Labels,
-				dist:   make([]float64, n*n),
-				radius: t.radius(),
-				oneNN:  t.OneNN,
-			}, nil
-		}
-		if workers < 1 {
-			workers = 1
-		}
-		s := &selectSessionLowMem{cols: cols, norm: norm, radius: t.radius(), oneNN: t.OneNN}
-		for w := 0; w < workers; w++ {
-			s.scratch = append(s.scratch, newBlockScratch(cols.Dim+1))
-			s.preds = append(s.preds, make([]int, n))
-		}
-		return s, nil
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
+	if n <= denseRowsCap {
+		return &selectSession{
+			n:      n,
+			cols:   norm.ApplyColumns(cols),
+			labels: cols.Labels,
+			dist:   make([]float64, n*n),
+			radius: t.radius(),
+			oneNN:  t.OneNN,
+		}, nil
 	}
-	dim := len(d.Examples[0].Features)
-	norm := ml.FitNorm(d)
-	slab := make([]float64, dim*n)
-	cols := make([][]float64, dim)
-	for f := range cols {
-		cols[f] = slab[f*n : (f+1)*n]
+	// Past the dense cap, score with the blocked kernel instead of the n×n
+	// committed matrix.
+	if workers < 1 {
+		workers = 1
 	}
-	row := make([]float64, dim)
-	labels := make([]int, n)
-	for i, e := range d.Examples {
-		norm.ApplyInto(e.Features, row)
-		for f, v := range row {
-			cols[f][i] = v
-		}
-		labels[i] = e.Label
+	s := &selectSessionLowMem{cols: cols, norm: norm, radius: t.radius(), oneNN: t.OneNN}
+	for w := 0; w < workers; w++ {
+		s.scratch = append(s.scratch, newBlockScratch(n))
+		s.preds = append(s.preds, make([]int, n))
 	}
-	return &selectSession{
-		n:      n,
-		cols:   cols,
-		labels: labels,
-		dist:   make([]float64, n*n),
-		radius: t.radius(),
-		oneNN:  t.OneNN,
-	}, nil
+	return s, nil
 }
 
 // Score implements ml.SelectSession. Concurrent calls only read shared
@@ -117,63 +95,15 @@ func (s *selectSession) Score(_ int, chosen []int, cand int) (float64, error) {
 func (s *selectSession) predictFold(i int, col []float64) int {
 	di := s.dist[i*s.n : (i+1)*s.n]
 	ci := col[i]
-	// Track the single nearest neighbor in the same scan (strict <, first
-	// index wins) — used directly in 1-NN mode and as the radius-voting
-	// fallback when the neighborhood is empty.
-	nearest, nearestD := -1, math.Inf(1)
-	if s.oneNN {
-		for j, base := range di {
-			if j == i {
-				continue
-			}
-			dc := ci - col[j]
-			if d2 := base + dc*dc; d2 < nearestD {
-				nearest, nearestD = j, d2
-			}
-		}
-		return s.labels[nearest]
-	}
-	r2 := s.radius * s.radius
-	var votes [ml.NumClasses + 1]int
-	var bestInClass [ml.NumClasses + 1]float64
-	for k := range bestInClass {
-		bestInClass[k] = math.Inf(1)
-	}
-	found := 0
+	var v ml.NeighborVote[float64]
+	v.Reset(s.radius, s.oneNN)
 	for j, base := range di {
-		if j == i {
-			continue
-		}
-		dc := ci - col[j]
-		d2 := base + dc*dc
-		if d2 < nearestD {
-			nearest, nearestD = j, d2
-		}
-		if d2 > r2 {
-			continue
-		}
-		found++
-		votes[s.labels[j]]++
-		if d2 < bestInClass[s.labels[j]] {
-			bestInClass[s.labels[j]] = d2
+		if j != i {
+			dc := ci - col[j]
+			v.Observe(j, base+dc*dc, s.labels)
 		}
 	}
-	if found == 0 {
-		return s.labels[nearest]
-	}
-	best := 0
-	for label := 1; label <= ml.NumClasses; label++ {
-		if votes[label] == 0 {
-			continue
-		}
-		switch {
-		case best == 0, votes[label] > votes[best]:
-			best = label
-		case votes[label] == votes[best] && bestInClass[label] < bestInClass[best]:
-			best = label
-		}
-	}
-	return best
+	return v.Finish(s.labels)
 }
 
 // Commit implements ml.SelectSession: folds the round winner's

@@ -7,64 +7,33 @@ import (
 	"metaopt/internal/ml/mltest"
 )
 
-// liteCopy strips feature rows and attaches a chunked column backing — the
-// shape the mmap'd colstore reader serves for out-of-core LOOCV.
-func liteCopy(t *testing.T, d *ml.Dataset, chunkRows int) *ml.Dataset {
-	t.Helper()
-	n := d.Len()
-	dim := len(d.Examples[0].Features)
-	var chunks []ml.ColChunk
-	labels := make([]int, 0, n)
-	for s := 0; s < n; s += chunkRows {
-		e := min(s+chunkRows, n)
-		feats := make([][]float64, dim)
-		for j := range feats {
-			feats[j] = make([]float64, e-s)
-			for r := s; r < e; r++ {
-				feats[j][r-s] = d.Examples[r].Features[j]
-			}
-		}
-		chunks = append(chunks, ml.ColChunk{Start: s, Rows: e - s, Feats: feats})
-	}
-	for _, ex := range d.Examples {
-		labels = append(labels, ex.Label)
-	}
-	cols, err := ml.NewColumns(dim, labels, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lite := &ml.Dataset{FeatureNames: d.FeatureNames, Cols: cols}
-	for _, ex := range d.Examples {
-		ex.Features = nil
-		lite.Examples = append(lite.Examples, ex)
-	}
-	return lite
-}
-
-// TestLSSVMColumnarLOOCVMatchesRows pins the column-backed exact LOOCV —
-// pairwise distances accumulated per feature from normalized columns, no
-// materialized rows — to the row path, fold by fold.
+// TestLSSVMColumnarLOOCVMatchesRows requires the exact LOOCV to answer the
+// same for every layout of the same data: rows only, an attached backing,
+// and one-chunk and multi-chunk column-only copies, for the default RBF
+// kernel and for a custom kernel whose Gram matrix is built by Eval over
+// rows derived from the columns.
 func TestLSSVMColumnarLOOCVMatchesRows(t *testing.T) {
 	d := mltest.Clusters(80, 5, 4, 0.3, 17)
-	tr := &LSSVM{}
-	want, err := tr.LOOCV(d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	backed := mltest.Clusters(80, 5, 4, 0.3, 17)
 	backed.BuildColumns()
-	for name, ds := range map[string]*ml.Dataset{
-		"attached":         backed,
-		"lite one chunk":   liteCopy(t, d, 80),
-		"lite multi chunk": liteCopy(t, d, 19),
-	} {
-		got, err := tr.LOOCV(ds)
+	for _, tr := range []*LSSVM{{}, {Kernel: evalOnly{RBF{Sigma: 1.7}}}} {
+		want, err := tr.LOOCV(d)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s fold %d: columnar %d, rows %d", name, i, got[i], want[i])
+		for name, ds := range map[string]*ml.Dataset{
+			"attached":                backed,
+			"column-only one chunk":   mltest.ColumnOnly(d, 80),
+			"column-only multi chunk": mltest.ColumnOnly(d, 19),
+		} {
+			got, err := tr.LOOCV(ds)
+			if err != nil {
+				t.Fatalf("%T %s: %v", tr.Kernel, name, err)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%T %s fold %d: %d, rows %d", tr.Kernel, name, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -73,7 +42,7 @@ func TestLSSVMColumnarLOOCVMatchesRows(t *testing.T) {
 // TestLSSVMTrainRejectsColumnOnly documents the serving restriction.
 func TestLSSVMTrainRejectsColumnOnly(t *testing.T) {
 	d := mltest.Clusters(30, 4, 3, 0.2, 3)
-	if _, err := (&LSSVM{}).Train(liteCopy(t, d, 30)); err == nil {
+	if _, err := (&LSSVM{}).Train(mltest.ColumnOnly(d, 30)); err == nil {
 		t.Fatal("Train accepted a column-only dataset")
 	}
 }

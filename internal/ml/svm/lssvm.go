@@ -47,78 +47,104 @@ type Model struct {
 
 var _ ml.Classifier = (*Model)(nil)
 
-func (t *LSSVM) config(rows [][]float64) (float64, Kernel, Codes, []float64) {
-	gamma := t.Gamma
+// solver is one factored LS-SVM system A = K + I/γ over a dataset's
+// normalized columns, shared by the classifier and the regressor, in
+// training and in exact LOOCV.
+type solver struct {
+	norm   *ml.Norm
+	rows   [][]float64 // normalized rows; nil unless a model stores them or the kernel needs them
+	kernel Kernel
+	ch     *linalg.Cholesky
+	u      []float64 // A⁻¹·1
+	s      float64   // 1ᵀu
+}
+
+// newSolver resolves γ and the kernel and factors the system. An RBF kernel
+// (including the default, whose median-distance bandwidth reads the same
+// matrix) gets its Gram matrix from the pairwise squared distances of the
+// normalized columns. A custom non-RBF kernel evaluates Eval over
+// normalized rows, the only input that interface takes. model asks for the
+// rows a trained model stores, so it refuses column-only datasets: a
+// serving model is built from materialized rows.
+func newSolver(d *ml.Dataset, gamma float64, kernel Kernel, model bool) (*solver, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	if model && !d.HasRows() {
+		return nil, fmt.Errorf("svm: training a serving model needs materialized feature rows; column-only datasets support LOOCV")
+	}
 	if gamma <= 0 {
 		gamma = DefaultGamma
 	}
-	kernel, dist := kernelAndDist(t.Kernel, rows)
-	codes := t.Codes
-	if codes.NumClasses() == 0 {
-		codes = OneVsRest(ml.NumClasses)
+	cols := d.Columns()
+	n := cols.N
+	sv := &solver{norm: ml.FitNorm(cols), kernel: kernel}
+	ncols := sv.norm.ApplyColumns(cols)
+	if model {
+		sv.rows = ml.Rows(ncols, n)
 	}
-	return gamma, kernel, codes, dist
-}
-
-// kernelAndDist resolves the kernel, computing the blocked pairwise
-// squared-distance matrix when an RBF Gram matrix will need it (it also
-// backs the median-σ bandwidth estimate, so the sampled pairs are not
-// recomputed). Non-RBF kernels get no matrix.
-func kernelAndDist(kernel Kernel, rows [][]float64) (Kernel, []float64) {
-	_, isRBF := kernel.(RBF)
-	if kernel != nil && !isRBF {
-		return kernel, nil
-	}
-	dist := linalg.PairwiseSqDistInto(rows, nil)
-	if kernel == nil {
-		kernel = RBF{Sigma: medianSigmaDist(dist, len(rows))}
-	}
-	return kernel, dist
-}
-
-// configCols resolves the configuration from a column backing: the pairwise
-// squared-distance matrix is accumulated per feature from normalized columns
-// — the identical float addition sequence as the row build, see
-// linalg.PairwiseSqDistColsInto — so the RBF solver never needs materialized
-// rows. Reports false for custom non-RBF kernels, whose Eval signature
-// requires row vectors.
-func (t *LSSVM) configCols(norm *ml.Norm, cols *ml.Columns) (float64, Kernel, Codes, []float64, bool) {
-	if t.Kernel != nil {
-		if _, isRBF := t.Kernel.(RBF); !isRBF {
-			return 0, nil, Codes{}, nil, false
+	var dist []float64
+	if _, isRBF := kernel.(RBF); kernel == nil || isRBF {
+		dist = linalg.PairwiseSqDistColsInto(ncols, n, nil)
+		if kernel == nil {
+			sv.kernel = RBF{Sigma: medianSigmaDist(dist, n)}
 		}
+	} else if sv.rows == nil {
+		sv.rows = ml.Rows(ncols, n)
 	}
-	gamma := t.Gamma
-	if gamma <= 0 {
-		gamma = DefaultGamma
+	ch, err := system(n, sv.rows, sv.kernel, gamma, dist)
+	if err != nil {
+		return nil, err
 	}
-	dist := linalg.PairwiseSqDistColsInto(norm.ApplyColumns(cols), cols.N, nil)
-	kernel := t.Kernel
-	if kernel == nil {
-		kernel = RBF{Sigma: medianSigmaDist(dist, cols.N)}
+	ones := make([]float64, n)
+	for i := range ones {
+		ones[i] = 1
 	}
-	codes := t.Codes
-	if codes.NumClasses() == 0 {
-		codes = OneVsRest(ml.NumClasses)
+	sv.ch, sv.u = ch, ch.Solve(ones)
+	for _, x := range sv.u {
+		sv.s += x
 	}
-	return gamma, kernel, codes, dist, true
+	return sv, nil
 }
 
-// columnarConfig is configCols gated on the dataset carrying a usable
-// column backing.
-func (t *LSSVM) columnarConfig(d *ml.Dataset, norm *ml.Norm) (float64, Kernel, Codes, []float64, bool) {
-	cols := d.UsableCols()
-	if cols == nil {
-		return 0, nil, Codes{}, nil, false
+// solve computes (a, b) for one output-code bit or regression target y:
+// v = A⁻¹·y, b = 1ᵀv/s, a = v − b·u.
+func (sv *solver) solve(y []float64) (alpha []float64, bias float64) {
+	v := sv.ch.Solve(y)
+	var sum float64
+	for _, x := range v {
+		sum += x
 	}
-	return t.configCols(norm, cols)
+	bias = sum / sv.s
+	alpha = make([]float64, len(y))
+	for i := range alpha {
+		alpha[i] = v[i] - bias*sv.u[i]
+	}
+	return alpha, bias
+}
+
+// diagC returns (C⁻¹)ᵢᵢ = (A⁻¹)ᵢᵢ − uᵢ²/s for every example, where C is the
+// full bordered KKT matrix: the denominators of the exact leave-one-out
+// shortcut ŷᵢ = yᵢ − aᵢ/(C⁻¹)ᵢᵢ.
+func (sv *solver) diagC() []float64 {
+	diag := sv.ch.InverseDiagonalFast()
+	for i := range diag {
+		diag[i] -= sv.u[i] * sv.u[i] / sv.s
+	}
+	return diag
+}
+
+func (t *LSSVM) codes() Codes {
+	if t.Codes.NumClasses() == 0 {
+		return OneVsRest(ml.NumClasses)
+	}
+	return t.Codes
 }
 
 // system builds and factors the shared matrix A = K + I/γ. For RBF kernels
-// dist carries the cached pairwise squared distances, so the Gram matrix is
-// an element-wise exp over the cache — the values match per-pair Eval calls
-// exactly (same SqDist accumulation, same divisor expression) and rows may
-// be nil (the column-backed LOOCV path never materializes them).
+// dist carries the pairwise squared distances, so the Gram matrix is an
+// element-wise exp over it: the values match per-pair Eval calls exactly
+// (same SqDist accumulation, same divisor expression) and rows may be nil.
 func system(n int, rows [][]float64, kernel Kernel, gamma float64, dist []float64) (*linalg.Cholesky, error) {
 	a := linalg.NewMatrix(n, n)
 	if rbf, ok := kernel.(RBF); ok && dist != nil {
@@ -148,58 +174,20 @@ func system(n int, rows [][]float64, kernel Kernel, gamma float64, dist []float6
 	return ch, nil
 }
 
-// solveBit computes (a, b) for one binary subproblem given the shared
-// factorization and u = A⁻¹·1, s = 1ᵀu.
-func solveBit(ch *linalg.Cholesky, u []float64, s float64, y []float64) (alpha []float64, bias float64) {
-	v := ch.Solve(y)
-	var sv float64
-	for _, x := range v {
-		sv += x
-	}
-	bias = sv / s
-	alpha = make([]float64, len(y))
-	for i := range alpha {
-		alpha[i] = v[i] - bias*u[i]
-	}
-	return alpha, bias
-}
-
 // Train fits one binary machine per output-code bit.
 func (t *LSSVM) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	if !d.HasRows() {
-		return nil, fmt.Errorf("svm: training a serving model needs materialized feature rows; column-only datasets support LOOCV")
-	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	gamma, kernel, codes, dist, ok := t.columnarConfig(d, norm)
-	if !ok {
-		gamma, kernel, codes, dist = t.config(rows)
-	}
-	ch, err := system(len(rows), rows, kernel, gamma, dist)
+	sv, err := newSolver(d, t.Gamma, t.Kernel, true)
 	if err != nil {
 		return nil, err
 	}
-	n := len(rows)
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-
-	m := &Model{norm: norm, rows: rows, kernel: kernel, codes: codes}
-	y := make([]float64, n)
+	codes := t.codes()
+	m := &Model{norm: sv.norm, rows: sv.rows, kernel: sv.kernel, codes: codes}
+	y := make([]float64, d.Len())
 	for bit := 0; bit < codes.NumBits(); bit++ {
 		for i, e := range d.Examples {
 			y[i] = codes.Target(e.Label, bit)
 		}
-		alpha, bias := solveBit(ch, u, s, y)
+		alpha, bias := sv.solve(y)
 		m.alpha = append(m.alpha, alpha)
 		m.bias = append(m.bias, bias)
 	}
@@ -240,45 +228,18 @@ func (m *Model) Scores(features []float64) []float64 {
 }
 
 // LOOCV computes exact leave-one-out predictions: for each bit,
-// ŷᵢ = yᵢ − aᵢ/(C⁻¹)ᵢᵢ with (C⁻¹)ᵢᵢ = (A⁻¹)ᵢᵢ − uᵢ²/s, where C is the full
-// bordered KKT matrix. One factorization serves every fold and every bit.
+// ŷᵢ = yᵢ − aᵢ/(C⁻¹)ᵢᵢ. One factorization serves every fold and every bit.
 func (t *LSSVM) LOOCV(d *ml.Dataset) ([]int, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	if d.Len() < 3 {
 		return nil, fmt.Errorf("svm: LOOCV needs at least 3 examples")
 	}
-	norm := ml.FitNorm(d)
-	n := d.Len()
-	var rows [][]float64
-	gamma, kernel, codes, dist, ok := t.columnarConfig(d, norm)
-	if !ok {
-		if !d.HasRows() {
-			return nil, fmt.Errorf("svm: LOOCV with a custom non-RBF kernel needs materialized feature rows")
-		}
-		rows = norm.ApplyAll(d)
-		gamma, kernel, codes, dist = t.config(rows)
-	}
-	ch, err := system(n, rows, kernel, gamma, dist)
+	sv, err := newSolver(d, t.Gamma, t.Kernel, false)
 	if err != nil {
 		return nil, err
 	}
-	ones := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1
-	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-	diagA := ch.InverseDiagonalFast()
-	diagC := make([]float64, n)
-	for i := range diagC {
-		diagC[i] = diagA[i] - u[i]*u[i]/s
-	}
-
+	codes := t.codes()
+	n := d.Len()
+	diagC := sv.diagC()
 	looScores := make([][]float64, n)
 	for i := range looScores {
 		looScores[i] = make([]float64, codes.NumBits())
@@ -288,7 +249,7 @@ func (t *LSSVM) LOOCV(d *ml.Dataset) ([]int, error) {
 		for i, e := range d.Examples {
 			y[i] = codes.Target(e.Label, bit)
 		}
-		alpha, _ := solveBit(ch, u, s, y)
+		alpha, _ := sv.solve(y)
 		for i := range alpha {
 			if diagC[i] <= 0 {
 				// Numerically degenerate fold: fall back to the training

@@ -34,41 +34,23 @@ type RegModel struct {
 
 var _ ml.Classifier = (*RegModel)(nil)
 
-func (t *Regression) config(rows [][]float64) (float64, Kernel, []float64) {
-	gamma := t.Gamma
-	if gamma <= 0 {
-		gamma = DefaultGamma
-	}
-	kernel, dist := kernelAndDist(t.Kernel, rows)
-	return gamma, kernel, dist
-}
-
 // Train fits the regressor to the labels.
 func (t *Regression) Train(d *ml.Dataset) (ml.Classifier, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	gamma, kernel, dist := t.config(rows)
-	ch, err := system(len(rows), rows, kernel, gamma, dist)
+	sv, err := newSolver(d, t.Gamma, t.Kernel, true)
 	if err != nil {
 		return nil, err
 	}
-	n := len(rows)
-	ones := make([]float64, n)
-	y := make([]float64, n)
+	alpha, bias := sv.solve(labelTargets(d))
+	return &RegModel{norm: sv.norm, rows: sv.rows, kernel: sv.kernel, alpha: alpha, bias: bias}, nil
+}
+
+// labelTargets returns the labels as regression targets.
+func labelTargets(d *ml.Dataset) []float64 {
+	y := make([]float64, d.Len())
 	for i, e := range d.Examples {
-		ones[i] = 1
 		y[i] = float64(e.Label)
 	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-	alpha, bias := solveBit(ch, u, s, y)
-	return &RegModel{norm: norm, rows: rows, kernel: kernel, alpha: alpha, bias: bias}, nil
+	return y
 }
 
 // Value returns the raw real-valued prediction.
@@ -100,41 +82,23 @@ func clampRound(v float64) int {
 // LOOCV computes exact leave-one-out predictions with the same shortcut as
 // the classifier: ŷᵢ = yᵢ − αᵢ/(C⁻¹)ᵢᵢ.
 func (t *Regression) LOOCV(d *ml.Dataset) ([]int, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
 	if d.Len() < 3 {
 		return nil, fmt.Errorf("svm: regression LOOCV needs at least 3 examples")
 	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
-	gamma, kernel, dist := t.config(rows)
-	ch, err := system(len(rows), rows, kernel, gamma, dist)
+	sv, err := newSolver(d, t.Gamma, t.Kernel, false)
 	if err != nil {
 		return nil, err
 	}
-	n := len(rows)
-	ones := make([]float64, n)
-	y := make([]float64, n)
-	for i, e := range d.Examples {
-		ones[i] = 1
-		y[i] = float64(e.Label)
-	}
-	u := ch.Solve(ones)
-	var s float64
-	for _, x := range u {
-		s += x
-	}
-	alpha, _ := solveBit(ch, u, s, y)
-	diagA := ch.InverseDiagonalFast()
-	preds := make([]int, n)
+	y := labelTargets(d)
+	alpha, _ := sv.solve(y)
+	diagC := sv.diagC()
+	preds := make([]int, len(y))
 	for i := range preds {
-		diagC := diagA[i] - u[i]*u[i]/s
-		if diagC <= 0 {
+		if diagC[i] <= 0 {
 			preds[i] = clampRound(y[i])
 			continue
 		}
-		preds[i] = clampRound(y[i] - alpha[i]/diagC)
+		preds[i] = clampRound(y[i] - alpha[i]/diagC[i])
 	}
 	return preds, nil
 }

@@ -54,8 +54,9 @@ func (t *SMO) Train(d *ml.Dataset) (ml.Classifier, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	norm := ml.FitNorm(d)
-	rows := norm.ApplyAll(d)
+	cols := d.Columns()
+	norm := ml.FitNorm(cols)
+	rows := ml.Rows(norm.ApplyColumns(cols), cols.N)
 	c := t.C
 	if c <= 0 {
 		c = 10

@@ -35,6 +35,10 @@ func (b *Boost) Train(d *ml.Dataset) (ml.Classifier, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
+	if !d.HasRows() {
+		// The rounds score the weak trees on feature rows.
+		return nil, fmt.Errorf("tree: boosting needs materialized feature rows")
+	}
 	rounds := b.Rounds
 	if rounds <= 0 {
 		rounds = 25
@@ -44,6 +48,7 @@ func (b *Boost) Train(d *ml.Dataset) (ml.Classifier, error) {
 		maxDepth = 4
 	}
 	weak := &Trainer{MaxDepth: maxDepth, MinLeaf: b.MinLeaf}
+	cols := d.Columns()
 
 	n := d.Len()
 	w := make([]float64, n)
@@ -53,7 +58,7 @@ func (b *Boost) Train(d *ml.Dataset) (ml.Classifier, error) {
 	const k = float64(ml.NumClasses)
 	ens := &Ensemble{}
 	for round := 0; round < rounds; round++ {
-		t, err := weak.trainWeighted(d, w)
+		t, err := weak.trainWeighted(cols, w)
 		if err != nil {
 			return nil, fmt.Errorf("tree: boosting round %d: %w", round, err)
 		}
@@ -98,7 +103,7 @@ func (b *Boost) Train(d *ml.Dataset) (ml.Classifier, error) {
 	}
 	if len(ens.Trees) == 0 {
 		// Fall back to one full-depth tree.
-		t, err := weak.trainWeighted(d, w)
+		t, err := weak.trainWeighted(cols, w)
 		if err != nil {
 			return nil, err
 		}

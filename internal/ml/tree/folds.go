@@ -44,7 +44,8 @@ func (t *Trainer) BeginFolds(d *ml.Dataset, workers int) (ml.FoldSession, error)
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
-	n, dim := d.Len(), len(d.Examples[0].Features)
+	cols := d.Columns()
+	n, dim := cols.N, cols.Dim
 	fr := &foldFrame{
 		n:      n,
 		dim:    dim,
@@ -53,15 +54,14 @@ func (t *Trainer) BeginFolds(d *ml.Dataset, workers int) (ml.FoldSession, error)
 		sorted: make([][]int32, dim),
 		ones:   make([]float64, n),
 	}
-	for i, e := range d.Examples {
-		fr.labels[i] = int32(e.Label)
+	for i, lab := range cols.Labels {
+		fr.labels[i] = int32(lab)
 		fr.ones[i] = 1
 	}
 	for f := 0; f < dim; f++ {
-		col := make([]float64, n)
+		col := cols.Feature(f, nil)
 		ord := make([]int32, n)
-		for i, e := range d.Examples {
-			col[i] = e.Features[f]
+		for i := range ord {
 			ord[i] = int32(i)
 		}
 		sortOrd(col, ord)

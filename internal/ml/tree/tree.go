@@ -83,10 +83,11 @@ func (t *Trainer) Train(d *ml.Dataset) (ml.Classifier, error) {
 	for i := range w {
 		w[i] = 1
 	}
-	return t.trainWeighted(d, w)
+	return t.trainWeighted(d.Columns(), w)
 }
 
-func (t *Trainer) trainWeighted(d *ml.Dataset, weights []float64) (*Tree, error) {
+// trainWeighted grows one tree over a dataset's columns.
+func (t *Trainer) trainWeighted(cols *ml.Columns, weights []float64) (*Tree, error) {
 	maxDepth := t.MaxDepth
 	if maxDepth <= 0 {
 		maxDepth = 12
@@ -96,7 +97,7 @@ func (t *Trainer) trainWeighted(d *ml.Dataset, weights []float64) (*Tree, error)
 		minLeaf = 3
 	}
 	b := builders.Get().(*builder)
-	b.init(d)
+	b.init(cols)
 	root := b.grow(weights, maxDepth, minLeaf)
 	builders.Put(b)
 	return &Tree{Root: root}, nil
@@ -130,11 +131,12 @@ type builder struct {
 
 var builders = sync.Pool{New: func() any { return new(builder) }}
 
-// init loads a dataset into the builder and presorts every feature,
-// reusing the pristine orders when the feature matrix is unchanged since
-// the last init (compare-while-copy, so reuse is verified not assumed).
-func (b *builder) init(d *ml.Dataset) {
-	n, dim := d.Len(), len(d.Examples[0].Features)
+// init loads a dataset's columns into the builder and presorts every
+// feature, reusing the pristine orders when the feature matrix is unchanged
+// since the last init (compare-while-copy, so reuse is verified not
+// assumed).
+func (b *builder) init(cols *ml.Columns) {
+	n, dim := cols.N, cols.Dim
 	b.n, b.dim = n, dim
 	same := b.pn == n && b.pdim == dim
 	if cap(b.labels) < n {
@@ -144,8 +146,8 @@ func (b *builder) init(d *ml.Dataset) {
 		b.labels = b.labels[:n]
 		b.tmp = b.tmp[:n]
 	}
-	for i := range d.Examples {
-		b.labels[i] = int32(d.Examples[i].Label)
+	for i, lab := range cols.Labels {
+		b.labels[i] = int32(lab)
 	}
 	if cap(b.cols) < dim {
 		b.cols = make([][]float64, dim)
@@ -169,11 +171,13 @@ func (b *builder) init(d *ml.Dataset) {
 			b.pristine[f] = b.pristine[f][:n]
 		}
 		col := b.cols[f]
-		for i, e := range d.Examples {
-			v := e.Features[f]
-			if col[i] != v {
-				col[i] = v
-				same = false
+		for ci := 0; ci < cols.NumChunks(); ci++ {
+			ch := cols.Chunk(ci)
+			for r, v := range ch.Feats[f] {
+				if i := ch.Start + r; col[i] != v {
+					col[i] = v
+					same = false
+				}
 			}
 		}
 	}

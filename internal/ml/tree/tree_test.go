@@ -217,11 +217,24 @@ func TestBuilderPristineReuse(t *testing.T) {
 	for i := range w {
 		w[i] = 1
 	}
-	b.init(d)
+	b.init(d.Columns())
 	first := &Tree{Root: b.grow(w, 6, 3)}
-	b.init(d) // same matrix: must hit the pristine cache
+	b.init(d.Columns()) // same matrix, fresh backing: must hit the pristine cache
 	second := &Tree{Root: b.grow(w, 6, 3)}
 	if !sameTree(first.Root, second.Root) {
 		t.Fatal("pristine-cache retrain differs from fresh train")
+	}
+}
+
+// TestColumnOnlyRejectedWhereRowsArePredicted: boosting scores its weak
+// trees on feature rows and generic LOOCV predicts each held-out row, so
+// both refuse a column-only dataset instead of panicking on nil rows.
+func TestColumnOnlyRejectedWhereRowsArePredicted(t *testing.T) {
+	lite := mltest.ColumnOnly(mltest.Clusters(60, 4, 3, 0.2, 2), 25)
+	if _, err := (&Boost{}).Train(lite); err == nil {
+		t.Error("Boost.Train accepted a column-only dataset")
+	}
+	if _, err := ml.LOOCV(&Trainer{MaxDepth: 4}, lite); err == nil {
+		t.Error("LOOCV accepted a column-only dataset")
 	}
 }
